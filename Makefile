@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet analyze build build-extras test race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench bench-compare bench-net bench-relay bench-shm bench-balance benchgate
+.PHONY: ci vet analyze build build-extras test race shard-race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench bench-compare bench-net bench-relay bench-shm bench-balance benchgate
 
-ci: vet analyze build build-extras race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-compare bench-net bench-relay bench-shm bench-balance benchgate
+ci: vet analyze build build-extras race shard-race net-loopback sim-matrix scale-matrix drain-scenario failover-scenario fuzz-short docs bench-short bench-compare bench-net bench-relay bench-shm bench-balance benchgate
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +42,18 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The per-thread shard hand-off, race-checked at GOMAXPROCS 1, 2 and 4, three
+# times each. A shard's ring slots are plain memory whose safety rests on
+# happens-before edges through the published counters alone (see
+# internal/ring.SPSC), so the check must hold on every P count, not only on
+# the one `race` happens to run with.
+shard-race:
+	@for p in 1 2 4; do \
+		echo "shard-race: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -race -count=3 -run 'Shard|Sharded|Flush|ReadSince|SPSC' \
+			./heartbeat/... ./internal/ring/... || exit 1; \
+	done
+
 # The hbnet loopback round trip, briefly and race-checked: one real TCP
 # server and client exchanging records in-process — the fastest signal
 # that the wire protocol still works end to end.
@@ -51,7 +63,7 @@ net-loopback:
 # The deterministic simulation matrix, race-checked: 100+ seeded
 # whole-stack scenarios (lapped rings, producer restarts, file recreation,
 # link blips, partitions, relay outages across every topology), hundreds
-# of simulated seconds in a few real ones, every scenario checked against
+# of simulated seconds in about a real minute, every scenario checked against
 # the simcheck delivery contract. The run is recorded as test2json events
 # in BENCH_sim.json so the suite's runtime trajectory is tracked across
 # PRs; a failing scenario prints its seed (replay with SIMNET_SEED=<seed>)
@@ -125,7 +137,7 @@ docs: vet
 # The core-API benchmarks only, briefly: enough to catch a hot-path
 # regression without regenerating every figure.
 bench-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkBeat$$|BenchmarkHeartbeatParallel|BenchmarkThreadBeat' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBeat$$|BenchmarkHeartbeatParallel|BenchmarkThreadBeat|BenchmarkGlobalBeatTag' \
 		-benchmem -benchtime=200ms .
 
 bench:

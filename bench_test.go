@@ -32,6 +32,16 @@ import (
 
 // BenchmarkBeat ablates the global-history locking strategy: the default
 // lock-free seqlock ring against the paper-style mutex-guarded ring.
+//
+// Single-threaded, "locked" is the cheaper of the two, because on amd64
+// every sync/atomic store compiles to XCHG, a full fence. The lock-free
+// append issues one LOCK XADD (claiming the seq) plus five XCHGs (the
+// slot's odd version, time, tag, producer, even version) per record; the
+// uncontended mutex issues two locked operations (Lock's CMPXCHG and
+// Unlock's XADD) around plain stores. Both variants share the direct path's
+// clock read and its LOCK CMPXCHG on the non-decreasing-time clamp. The
+// lock-free store pays for readers that never block the producer, which the
+// -parallel variants and BenchmarkRateUnderWriters exercise.
 func BenchmarkBeat(b *testing.B) {
 	for _, variant := range []struct {
 		name string
@@ -131,6 +141,27 @@ func BenchmarkHeartbeatParallel(b *testing.B) {
 				}
 				wg.Wait()
 			})
+		}
+	}
+}
+
+// BenchmarkGlobalBeatTag measures the Thread global path in the beat-local
+// benchmark's shape: one Thread on the default wall clock beating tagged
+// global beats into its shard, with a Flush every 1024 beats merging the
+// shard into the global history. Nearly every wall-clock beat opens a new
+// time run, so this times the shard's two-store path plus the clock read
+// and the amortized merge.
+func BenchmarkGlobalBeatTag(b *testing.B) {
+	hb, err := heartbeat.New(20, heartbeat.WithCapacity(1<<12), heartbeat.WithShardCapacity(1<<12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := hb.Thread("bench")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.GlobalBeatTag(int64(i) + 1)
+		if i%1024 == 1023 {
+			hb.Flush()
 		}
 	}
 }

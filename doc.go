@@ -6,8 +6,9 @@
 //
 //   - heartbeat: the Application Heartbeats API (the paper's contribution),
 //     with a sharded lock-free beat hot path — per-thread single-producer
-//     rings merged by a batched aggregator, a single atomic store per beat
-//     in the steady state — and cursor-based consumers (ReadSince,
+//     rings merged by a batched aggregator; a global beat is one atomic
+//     store while timestamps repeat and two when it opens a new time run —
+//     and cursor-based consumers (ReadSince,
 //     Subscribe) that read each record exactly once
 //   - heartbeat/compat: Table-1-shaped wrappers for C-reference parity
 //   - hbfile: the file-backed ring for cross-process observation, with

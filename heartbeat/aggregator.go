@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the batched aggregator behind the sharded beat hot
-// path. Each registered Thread owns a lock-free single-producer shard
-// (ring.SP) that GlobalBeat writes into without taking any lock; the
+// path. Each registered Thread owns a single-producer, single-consumer shard
+// (ring.SPSC) that GlobalBeat writes into without taking any lock; the
 // aggregator merges shard records into the global history — assigning the
 // dense global sequence numbers and delivering sink batches — on read, on
 // the configured flush interval, or when a producer's backlog reaches half
@@ -18,45 +18,45 @@ import (
 // broken by shard registration order, so a single-threaded beat schedule
 // aggregates into exactly the history a fully serialized store would have
 // produced.
+//
+// A shard's slots are plain memory: the merge, run under mu, is its only
+// reader, and the soft-limit flush keeps the producer from overwriting a
+// slot the merge may still read. A global beat therefore costs one atomic
+// store while timestamps repeat (as they do on a CoarseClock) and two when
+// it opens a new time run — on the default wall clock, nearly every beat.
 
 // gshard is one producer's shard of the global heartbeat history. Exactly
-// one goroutine (the owning Thread's) pushes into it; the aggregator is its
-// only consumer.
+// one goroutine (the owning Thread's) pushes into it; the aggregator, under
+// mu, is its only consumer.
 type gshard struct {
-	ring     *ring.SP
+	ring     *ring.SPSC
 	agg      *aggregator
 	producer int32
 	// soft is the backlog level (in records or in time-index entries) at
 	// which the producer itself triggers a flush: half the shard
 	// capacity, so unconsumed records are never overwritten and no beat
-	// is ever lost.
+	// is ever lost. The merge releases the ring position only once the
+	// merged records are visible in the store, so hasPending stays true
+	// for the whole merge.
 	soft uint64
-	// consumed and entriesConsumed republish the aggregator's cursor
-	// position — only once the merged records are visible in the store —
-	// so the producer can check backlog pressure with a single atomic
-	// load per beat, and hasPending stays true for the whole merge.
-	consumed        atomic.Uint64
-	entriesConsumed atomic.Uint64
-	// countConsumed is the same position republished EARLY, before the
+	_    [64]byte // off the cache line the producer loads on every beat
+	// countConsumed is the consumed position published EARLY, before the
 	// store appends land. Count's lock-free estimate subtracts it so a
 	// record mid-merge is counted zero times, never twice (an overcount
-	// would latch into Count's monotonic clamp permanently).
+	// would latch into Count's monotonic clamp permanently). The merge
+	// writes it once per run, so padding on both sides keeps it off the
+	// lines this and a neighbouring shard's producer read.
 	countConsumed atomic.Uint64
-	cur           ring.Cursor // guarded by agg.mu
+	_             [64]byte
 }
 
-// beat is the global-beat hot path: a lock-free shard push plus an amortized
-// backlog check. It allocates nothing; in the steady state (repeated
-// timestamp, tag 0, backlog below the soft limit) it performs a single
-// atomic store.
+// beat is the global-beat hot path: a shard push plus an amortized backlog
+// check. It allocates nothing and takes no lock.
 //
 //hbvet:hotpath
 func (g *gshard) beat(timeNanos, tag int64) {
-	seq, newRun := g.ring.Push(timeNanos, tag)
-	if seq-g.consumed.Load() >= g.soft {
+	if g.ring.Push(timeNanos, tag) >= g.soft {
 		g.agg.flush() //hbvet:allow hotpath -- amortized backlog spill: runs once per soft-limit crossing, not per beat
-	} else if newRun && g.ring.Entries()-g.entriesConsumed.Load() >= g.soft {
-		g.agg.flush() //hbvet:allow hotpath -- amortized time-index spill, same soft-limit cadence
 	}
 }
 
@@ -89,11 +89,10 @@ type aggregator struct {
 
 // register creates a shard for a new producer.
 func (a *aggregator) register(producer int32, capacity int) *gshard {
-	g := &gshard{ring: ring.NewSP(capacity), agg: a, producer: producer, soft: uint64(capacity) / 2}
+	g := &gshard{ring: ring.NewSPSC(capacity), agg: a, producer: producer, soft: uint64(capacity) / 2}
 	if g.soft == 0 {
 		g.soft = 1
 	}
-	g.cur = g.ring.NewCursor()
 	a.mu.Lock()
 	a.shards = append(a.shards, g)
 	snap := make([]*gshard, len(a.shards))
@@ -117,8 +116,8 @@ func (a *aggregator) snapshot() []*gshard {
 }
 
 // hasPending reports, lock-free, whether any shard has unmerged records.
-// It reads the late-published consumed counters, which lag until merged
-// records are visible in the store, so this answers true for the whole
+// It reads the shards' released positions, which lag until merged records
+// are visible in the store, so this answers true for the whole
 // duration of a merge — callers fall to the locked path and wait, keeping
 // direct beats sequenced after every earlier shard record. The scan is
 // O(registered threads) of atomic loads; an aggregate counter would move
@@ -126,7 +125,7 @@ func (a *aggregator) snapshot() []*gshard {
 // trade.
 func (a *aggregator) hasPending() bool {
 	for _, sh := range a.snapshot() {
-		if sh.ring.Total() != sh.consumed.Load() {
+		if sh.ring.Backlog() != 0 {
 			return true
 		}
 	}
@@ -174,7 +173,7 @@ func (a *aggregator) direct(timeNanos, tag int64) {
 func (a *aggregator) pendingLocked() uint64 {
 	var n uint64
 	for _, sh := range a.shards {
-		n += sh.ring.Total() - sh.cur.Consumed()
+		n += sh.ring.Total() - sh.ring.Consumed()
 	}
 	return n
 }
@@ -203,9 +202,9 @@ func (a *aggregator) mergeLocked() {
 	var pending uint64
 	for _, sh := range a.shards {
 		limit := sh.ring.Total()
-		if limit > sh.cur.Consumed() {
-			pending += limit - sh.cur.Consumed()
-			heads = append(heads, mergeHead{sh: sh, limit: limit, t: sh.cur.PeekTime()})
+		if limit > sh.ring.Consumed() {
+			pending += limit - sh.ring.Consumed()
+			heads = append(heads, mergeHead{sh: sh, limit: limit, t: sh.ring.PeekTime()})
 		}
 	}
 	if len(heads) == 0 {
@@ -217,17 +216,17 @@ func (a *aggregator) mergeLocked() {
 		for toSkip > 0 {
 			mi := minHead(heads)
 			h := &heads[mi]
-			n := h.sh.cur.RunLen(h.limit)
+			n := h.sh.ring.RunLen(h.limit)
 			if n > toSkip {
 				n = toSkip
 			}
-			h.sh.cur.Skip(n)
-			h.sh.countConsumed.Store(h.sh.cur.Consumed())
+			h.sh.ring.Skip(n)
+			h.sh.countConsumed.Store(h.sh.ring.Consumed())
 			toSkip -= n
-			if h.sh.cur.Consumed() >= h.limit {
+			if h.sh.ring.Consumed() >= h.limit {
 				heads = append(heads[:mi], heads[mi+1:]...)
 			} else {
-				h.t = h.sh.cur.PeekTime()
+				h.t = h.sh.ring.PeekTime()
 			}
 		}
 		// The skip advances the store's sequence counter past every
@@ -246,26 +245,25 @@ func (a *aggregator) mergeLocked() {
 		// selection would keep picking this shard anyway (ties break to
 		// the earliest-registered shard). This keeps the merge O(runs)
 		// rather than O(records) in shard-head scans.
-		run := h.sh.cur.RunLen(h.limit)
-		h.sh.countConsumed.Store(h.sh.cur.Consumed() + run)
+		run := h.sh.ring.RunLen(h.limit)
+		h.sh.countConsumed.Store(h.sh.ring.Consumed() + run)
 		for i := uint64(0); i < run; i++ {
-			e, _ := h.sh.cur.Next(h.limit)
+			e, _ := h.sh.ring.Next(h.limit)
 			seq := a.st.append(e.Time, e.Tag, h.sh.producer)
 			if a.sink != nil {
 				a.batch = append(a.batch, Record{Seq: seq, Time: time.Unix(0, e.Time), Tag: e.Tag, Producer: h.sh.producer})
 			}
 		}
-		if h.sh.cur.Consumed() >= h.limit {
+		if h.sh.ring.Consumed() >= h.limit {
 			heads = append(heads[:mi], heads[mi+1:]...)
 		} else {
-			h.t = h.sh.cur.PeekTime()
+			h.t = h.sh.ring.PeekTime()
 		}
 	}
 	a.heads = heads[:0]
 	for _, sh := range a.shards {
-		sh.consumed.Store(sh.cur.Consumed())
-		sh.entriesConsumed.Store(sh.cur.EntriesConsumed())
-		sh.countConsumed.Store(sh.cur.Consumed())
+		sh.ring.Release()
+		sh.countConsumed.Store(sh.ring.Consumed())
 	}
 	if len(a.batch) > 0 {
 		a.deliverBatch(a.batch)

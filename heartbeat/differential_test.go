@@ -1,6 +1,7 @@
 package heartbeat_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -73,7 +74,10 @@ func sameRecords(a, b []heartbeat.Record) bool {
 // and asserts equal counts, histories, window rates, and filtered rates at
 // every checkpoint. The clock always advances between beats, so the
 // reference's program order is the unique timestamp order the merge must
-// reproduce.
+// reproduce. Shard capacities run down to the minimum: at 2 and 3 every
+// global beat flushes its own shard; at 4 and up the shards' combined
+// backlog outgrows the history during the unread stretch, which drives the
+// merge's lazy-discard path.
 func TestShardedMatchesSingleLockReference(t *testing.T) {
 	for _, variant := range []struct {
 		name string
@@ -83,89 +87,102 @@ func TestShardedMatchesSingleLockReference(t *testing.T) {
 		{"locked-store", []heartbeat.Option{heartbeat.WithLockedStore()}},
 	} {
 		t.Run(variant.name, func(t *testing.T) {
-			const (
-				window   = 7
-				capacity = 64
-				threads  = 4
-				ops      = 6000
-			)
-			clk := sim.NewClock(time.Time{})
-			opts := append([]heartbeat.Option{
-				heartbeat.WithClock(clk),
-				heartbeat.WithCapacity(capacity),
-				heartbeat.WithShardCapacity(512),
-			}, variant.opts...)
-			hb, err := heartbeat.New(window, opts...)
-			if err != nil {
-				t.Fatal(err)
+			for _, shape := range []struct {
+				shardCap, window, capacity, threads int
+			}{
+				{shardCap: 512, window: 7, capacity: 64, threads: 4},
+				{shardCap: 64, window: 7, capacity: 64, threads: 4},
+				{shardCap: 4, window: 2, capacity: 4, threads: 8},
+				{shardCap: 3, window: 2, capacity: 4, threads: 8},
+				{shardCap: 2, window: 2, capacity: 4, threads: 8},
+			} {
+				t.Run(fmt.Sprintf("shard-%d", shape.shardCap), func(t *testing.T) {
+					matchReference(t, variant.opts, shape.shardCap, shape.window, shape.capacity, shape.threads)
+				})
 			}
-			ref := &refModel{window: hb.Window(), capacity: capacity}
-			trs := make([]*heartbeat.Thread, threads)
-			for i := range trs {
-				trs[i] = hb.Thread("w")
-			}
-
-			check := func(step int) {
-				t.Helper()
-				if got, want := hb.Count(), ref.count(); got != want {
-					t.Fatalf("step %d: Count = %d, want %d", step, got, want)
-				}
-				for _, n := range []int{1, 5, capacity / 2, capacity, capacity + 50} {
-					if got, want := hb.History(n), ref.history(n); !sameRecords(got, want) {
-						t.Fatalf("step %d: History(%d) diverged:\n got %+v\nwant %+v", step, n, got, want)
-					}
-				}
-				for _, w := range []int{0, 2, 5, 16, capacity, capacity + 9} {
-					gr, gok := hb.RateDetail(w)
-					wr, wok := rateRef(ref.history(ref.clipWindow(w)))
-					if gok != wok || gr != wr {
-						t.Fatalf("step %d: RateDetail(%d) = %+v/%v, want %+v/%v", step, w, gr, gok, wr, wok)
-					}
-				}
-				for tag := int64(0); tag < 4; tag++ {
-					gr, gok := hb.RateByTag(capacity, tag)
-					wr, wok := rateRef(filterTag(ref.history(capacity), tag))
-					if gok != wok || gr != wr {
-						t.Fatalf("step %d: RateByTag(%d) diverged", step, tag)
-					}
-				}
-				for p := int32(0); p <= threads; p++ {
-					gr, gok := hb.RateByProducer(capacity, p)
-					wr, wok := rateRef(filterProducer(ref.history(capacity), p))
-					if gok != wok || gr != wr {
-						t.Fatalf("step %d: RateByProducer(%d) diverged", step, p)
-					}
-				}
-			}
-
-			rng := rand.New(rand.NewSource(42))
-			for step := 0; step < ops; step++ {
-				clk.Advance(time.Duration(rng.Intn(5_000_000) + 1))
-				tag := int64(rng.Intn(4))
-				switch k := rng.Intn(10); {
-				case k < 7: // sharded per-thread global beat
-					i := rng.Intn(threads)
-					trs[i].GlobalBeatTag(tag)
-					ref.beat(clk.Now(), tag, trs[i].ID())
-				case k < 9: // direct beat on the global handle
-					hb.BeatTag(tag)
-					ref.beat(clk.Now(), tag, 0)
-				default:
-					check(step)
-				}
-			}
-			// A long unread stretch deep enough to trigger the lazy
-			// backlog discard, then a final full comparison.
-			for i := 0; i < 3000; i++ {
-				clk.Advance(time.Duration(rng.Intn(1000) + 1))
-				w := rng.Intn(threads)
-				tag := int64(rng.Intn(4))
-				trs[w].GlobalBeatTag(tag)
-				ref.beat(clk.Now(), tag, trs[w].ID())
-			}
-			check(ops)
 		})
 	}
+}
+
+// matchReference drives one seeded schedule through a Heartbeat of the
+// given shape and through the reference model, comparing them throughout.
+func matchReference(t *testing.T, variantOpts []heartbeat.Option, shardCap, window, capacity, threads int) {
+	const ops = 6000
+	clk := sim.NewClock(time.Time{})
+	opts := append([]heartbeat.Option{
+		heartbeat.WithClock(clk),
+		heartbeat.WithCapacity(capacity),
+		heartbeat.WithShardCapacity(shardCap),
+	}, variantOpts...)
+	hb, err := heartbeat.New(window, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refModel{window: hb.Window(), capacity: capacity}
+	trs := make([]*heartbeat.Thread, threads)
+	for i := range trs {
+		trs[i] = hb.Thread("w")
+	}
+
+	check := func(step int) {
+		t.Helper()
+		if got, want := hb.Count(), ref.count(); got != want {
+			t.Fatalf("step %d: Count = %d, want %d", step, got, want)
+		}
+		for _, n := range []int{1, 5, capacity / 2, capacity, capacity + 50} {
+			if got, want := hb.History(n), ref.history(n); !sameRecords(got, want) {
+				t.Fatalf("step %d: History(%d) diverged:\n got %+v\nwant %+v", step, n, got, want)
+			}
+		}
+		for _, w := range []int{0, 2, 5, 16, capacity, capacity + 9} {
+			gr, gok := hb.RateDetail(w)
+			wr, wok := rateRef(ref.history(ref.clipWindow(w)))
+			if gok != wok || gr != wr {
+				t.Fatalf("step %d: RateDetail(%d) = %+v/%v, want %+v/%v", step, w, gr, gok, wr, wok)
+			}
+		}
+		for tag := int64(0); tag < 4; tag++ {
+			gr, gok := hb.RateByTag(capacity, tag)
+			wr, wok := rateRef(filterTag(ref.history(capacity), tag))
+			if gok != wok || gr != wr {
+				t.Fatalf("step %d: RateByTag(%d) diverged", step, tag)
+			}
+		}
+		for p := int32(0); p <= int32(threads); p++ {
+			gr, gok := hb.RateByProducer(capacity, p)
+			wr, wok := rateRef(filterProducer(ref.history(capacity), p))
+			if gok != wok || gr != wr {
+				t.Fatalf("step %d: RateByProducer(%d) diverged", step, p)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for step := 0; step < ops; step++ {
+		clk.Advance(time.Duration(rng.Intn(5_000_000) + 1))
+		tag := int64(rng.Intn(4))
+		switch k := rng.Intn(10); {
+		case k < 7: // sharded per-thread global beat
+			i := rng.Intn(threads)
+			trs[i].GlobalBeatTag(tag)
+			ref.beat(clk.Now(), tag, trs[i].ID())
+		case k < 9: // direct beat on the global handle
+			hb.BeatTag(tag)
+			ref.beat(clk.Now(), tag, 0)
+		default:
+			check(step)
+		}
+	}
+	// A long unread stretch deep enough to trigger the lazy
+	// backlog discard, then a final full comparison.
+	for i := 0; i < 3000; i++ {
+		clk.Advance(time.Duration(rng.Intn(1000) + 1))
+		w := rng.Intn(threads)
+		tag := int64(rng.Intn(4))
+		trs[w].GlobalBeatTag(tag)
+		ref.beat(clk.Now(), tag, trs[w].ID())
+	}
+	check(ops)
 }
 
 // rateRef recomputes the windowed rate exactly as the package defines it.

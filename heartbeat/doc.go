@@ -31,12 +31,16 @@
 //
 // Beat registration is built to run as fast as the hardware allows:
 //
-//   - Every Thread owns two lock-free single-producer rings (internal/ring
-//     SP): a private local history for Beat, and a global shard for
-//     GlobalBeat. A beat is a mutex-free, allocation-free push; the rings
-//     run-length encode timestamps and store tags out of line, so in the
-//     steady state (repeated timestamp, tag 0) a beat is a single atomic
-//     store. Pair the Heartbeat with a CoarseClock to make repeated
+//   - Every Thread owns two single-producer rings: a private local history
+//     for Beat (internal/ring SP, which any number of observers read
+//     concurrently), and a global shard for GlobalBeat (internal/ring
+//     SPSC, whose only reader is the aggregator). A beat is a mutex-free,
+//     allocation-free push; the rings run-length encode timestamps and
+//     store tags out of line. A global beat is one atomic store while
+//     timestamps repeat and two when it opens a new time run; its tag is a
+//     plain store. A local beat is one atomic store while timestamps repeat
+//     and the tag is 0. On the default wall clock nearly every beat opens a
+//     new time run; pair the Heartbeat with a CoarseClock to make repeated
 //     timestamps the norm at high beat rates.
 //   - A batched aggregator merges the shards into the global history — a
 //     k-way merge by timestamp, ties broken by shard registration order —

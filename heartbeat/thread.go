@@ -11,18 +11,22 @@ import (
 // observers can reason about them separately; threads cooperating on one
 // object report shared progress through GlobalBeat.
 //
-// A Thread owns two lock-free single-producer rings: a private local history
-// (Beat/BeatTag) and a global shard (GlobalBeat/GlobalBeatTag) that the
-// aggregator merges into the application history. Both beat paths are
-// mutex-free and allocation-free: in the steady state a beat is a single
-// atomic store. That speed rests on a single-producer contract: all beat
-// calls on one Thread must come from one goroutine (register one handle per
-// worker — Thread handles are cheap). Concurrent beats on a shared handle
-// are a data race: beats can be lost and `go test -race` will flag the
-// caller. This is stricter than the seed's mutex-guarded Thread, which
-// tolerated shared handles; heartbeat/compat serializes its local beats for
-// C-parity callers that relied on that. All read methods remain safe for
-// any number of concurrent observers.
+// A Thread owns two single-producer rings: a private local history
+// (Beat/BeatTag; a lock-free ring.SP that any number of observers read
+// concurrently) and a global shard (GlobalBeat/GlobalBeatTag; a ring.SPSC
+// whose only reader is the aggregator merging it into the application
+// history). Both beat paths are mutex-free and allocation-free. A global
+// beat is one atomic store while timestamps repeat (as on a CoarseClock)
+// and two when it opens a new time run; a local beat is one atomic store
+// while timestamps repeat and the tag is 0. That speed rests on a
+// single-producer contract: all beat calls on one Thread must come from
+// one goroutine (register one handle per worker — Thread handles are
+// cheap). Concurrent beats on a shared handle are a data race: beats can
+// be lost and `go test -race` will flag the caller. This is stricter than
+// the seed's mutex-guarded Thread, which tolerated shared handles;
+// heartbeat/compat serializes its local beats for C-parity callers that
+// relied on that. All read methods remain safe for any number of
+// concurrent observers.
 type Thread struct {
 	h    *Heartbeat
 	id   int32

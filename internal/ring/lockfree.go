@@ -6,10 +6,13 @@ import (
 )
 
 // SP is a lock-free single-producer, multi-reader heartbeat ring. It is the
-// storage behind the sharded beat hot path: exactly one goroutine calls Push,
-// while any number of goroutines read concurrently through Last, Read, or a
-// Cursor. No operation blocks, and Push performs a single atomic store per
-// beat in the steady state.
+// storage behind a heartbeat Thread's local history: exactly one goroutine
+// calls Push, while any number of goroutines read concurrently through Last
+// or Read. No operation blocks. Push performs a single atomic store per beat
+// while the timestamp repeats and the tag is 0; a tagged beat adds two, and
+// a beat that opens a new time run adds five (the seqlocked index entry and
+// its published count). SPSC is the cheaper variant for a ring with a
+// single, non-lapping reader.
 //
 // The key observation is that a heartbeat record is almost always just "one
 // more beat at the current timestamp": timestamps repeat (clocks are coarser
@@ -93,22 +96,14 @@ func (r *SP) Cap() int { return len(r.idx) }
 //hbvet:hotpath
 func (r *SP) Total() uint64 { return r.total.Load() }
 
-// Entries returns the number of time-index entries ever written. The
-// difference between two observations bounds how many distinct timestamps
-// the producer has emitted in between.
-//
-//hbvet:hotpath
-func (r *SP) Entries() uint64 { return r.entries.Load() }
-
 // Push appends a record with the given timestamp and tag and returns its
-// sequence number, plus whether this push opened a new time run (callers use
-// this to amortize index-pressure checks). Push must only ever be called
-// from one goroutine. It never allocates and, while the timestamp stays the
-// same and tag == 0, performs exactly one atomic store.
+// sequence number. Push must only ever be called from one goroutine. It
+// never allocates and, while the timestamp stays the same and tag == 0,
+// performs exactly one atomic store.
 //
 //hbvet:hotpath
-func (r *SP) Push(timeNanos, tag int64) (seq uint64, newRun bool) {
-	seq = r.seq + 1
+func (r *SP) Push(timeNanos, tag int64) uint64 {
+	seq := r.seq + 1
 	r.seq = seq
 	if timeNanos != r.lastTime {
 		r.lastTime = timeNanos
@@ -122,7 +117,6 @@ func (r *SP) Push(timeNanos, tag int64) (seq uint64, newRun bool) {
 		e.time.Store(timeNanos)
 		e.ver.Store(k)
 		r.entries.Store(k)
-		newRun = true
 	}
 	if tag != 0 {
 		i := (seq - 1) % uint64(len(r.tagMark))
@@ -133,7 +127,7 @@ func (r *SP) Push(timeNanos, tag int64) (seq uint64, newRun bool) {
 		r.tagVal[i].Store(tag)
 	}
 	r.total.Store(seq)
-	return seq, newRun
+	return seq
 }
 
 // loadEntry reads time-index entry k (1-based). ok is false when the entry
@@ -277,93 +271,4 @@ func (r *SP) Last(n int) []Entry {
 		out = append(out, Entry{Seq: seq, Time: runs[ri].time, Tag: r.tag(seq)})
 	}
 	return out
-}
-
-// Cursor consumes an SP ring sequentially: the aggregator side of the
-// sharded heartbeat path. A Cursor must be guarded by the caller (a single
-// consumer at a time); the producer may keep pushing concurrently. Callers
-// must consume fast enough that unconsumed records are never overwritten —
-// the heartbeat aggregator enforces this by flushing producers whose backlog
-// reaches half the ring capacity — so cursor reads need no validation.
-type Cursor struct {
-	r    *SP
-	next uint64 // next seq to consume
-	k    uint64 // time-index entry covering next (0 = none yet)
-	tm   int64  // time of entry k
-}
-
-// NewCursor returns a cursor positioned before the first record.
-func (r *SP) NewCursor() Cursor { return Cursor{r: r} }
-
-// Consumed returns how many records have been consumed.
-func (c *Cursor) Consumed() uint64 { return c.next }
-
-// EntriesConsumed returns how many time-index entries have been fully
-// passed; entry k itself may still cover future records.
-func (c *Cursor) EntriesConsumed() uint64 {
-	if c.k == 0 {
-		return 0
-	}
-	return c.k - 1
-}
-
-// advance moves the covering entry forward until it covers seq.
-func (c *Cursor) advance(seq uint64) {
-	published := c.r.entries.Load()
-	for c.k < published {
-		start, tm, _ := c.r.loadEntry(c.k + 1)
-		if start > seq {
-			break
-		}
-		c.k++
-		c.tm = tm
-	}
-}
-
-// PeekTime returns the timestamp of the next record. It must only be called
-// when at least one record is pending.
-//
-//hbvet:hotpath
-func (c *Cursor) PeekTime() int64 {
-	c.advance(c.next + 1)
-	return c.tm
-}
-
-// RunLen reports how many pending records, up to limit, share the next
-// record's timestamp run.
-//
-//hbvet:hotpath
-func (c *Cursor) RunLen(limit uint64) uint64 {
-	c.advance(c.next + 1)
-	end := limit
-	published := c.r.entries.Load()
-	if c.k < published {
-		if start, _, ok := c.r.loadEntry(c.k + 1); ok && start-1 < end {
-			end = start - 1
-		}
-	}
-	return end - c.next
-}
-
-// Skip consumes n records without reconstructing them.
-//
-//hbvet:hotpath
-func (c *Cursor) Skip(n uint64) {
-	c.next += n
-	c.advance(c.next)
-}
-
-// Next reconstructs and consumes the next record. ok is false when no
-// record at or below limit is pending.
-//
-//hbvet:hotpath
-func (c *Cursor) Next(limit uint64) (Entry, bool) {
-	if c.next >= limit {
-		return Entry{}, false
-	}
-	seq := c.next + 1
-	c.advance(seq)
-	e := Entry{Seq: seq, Time: c.tm, Tag: c.r.tag(seq)}
-	c.next = seq
-	return e, true
 }

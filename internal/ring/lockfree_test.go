@@ -20,21 +20,20 @@ func TestSPSequentialSemantics(t *testing.T) {
 	}
 
 	// Three beats at t=100 (one tagged), two at t=200.
-	seq, newRun := r.Push(100, 0)
-	if seq != 1 || !newRun {
-		t.Fatalf("first push: seq %d newRun %v", seq, newRun)
+	if seq := r.Push(100, 0); seq != 1 {
+		t.Fatalf("first push: seq %d", seq)
 	}
-	if seq, newRun = r.Push(100, 7); seq != 2 || newRun {
-		t.Fatalf("second push: seq %d newRun %v", seq, newRun)
+	if seq := r.Push(100, 7); seq != 2 {
+		t.Fatalf("second push: seq %d", seq)
 	}
 	r.Push(100, 0)
-	if seq, newRun = r.Push(200, 0); seq != 4 || !newRun {
-		t.Fatalf("new-run push: seq %d newRun %v", seq, newRun)
+	if seq := r.Push(200, 0); seq != 4 {
+		t.Fatalf("new-run push: seq %d", seq)
 	}
 	r.Push(200, -3)
 
-	if r.Total() != 5 || r.Entries() != 2 {
-		t.Fatalf("total %d entries %d, want 5 and 2", r.Total(), r.Entries())
+	if r.Total() != 5 || r.entries.Load() != 2 {
+		t.Fatalf("total %d entries %d, want 5 and 2", r.Total(), r.entries.Load())
 	}
 	want := []Entry{{1, 100, 0}, {2, 100, 7}, {3, 100, 0}, {4, 200, 0}, {5, 200, -3}}
 	got := r.Last(100)
@@ -73,7 +72,7 @@ func TestSPEquivalenceProperty(t *testing.T) {
 			if op%2 == 0 {
 				tag = int64(op) - 40
 			}
-			seq, _ := sp.Push(now, tag)
+			seq := sp.Push(now, tag)
 			oracle.Push(Entry{Seq: uint64(i + 1), Time: now, Tag: tag})
 			if seq != uint64(i+1) {
 				return false
@@ -160,90 +159,6 @@ func TestSPNoTornReadsUnderWrap(t *testing.T) {
 		if recs[i].Seq != recs[i-1].Seq+1 {
 			t.Fatalf("records not dense: %d then %d", recs[i-1].Seq, recs[i].Seq)
 		}
-	}
-}
-
-// A cursor must consume every record exactly once, in order, with correct
-// times and tags, while the producer stays within the no-overwrite budget
-// the heartbeat aggregator enforces.
-func TestSPCursorConsumesAll(t *testing.T) {
-	const capacity = 128
-	r := NewSP(capacity)
-	cur := r.NewCursor()
-	next := uint64(1)
-	now := int64(5)
-	for round := 0; round < 200; round++ {
-		n := uint64(round%(capacity/2) + 1)
-		for i := uint64(0); i < n; i++ {
-			if i%4 == 0 {
-				now += 3
-			}
-			r.Push(now, int64(r.Total()%5))
-		}
-		limit := r.Total()
-		for {
-			e, ok := cur.Next(limit)
-			if !ok {
-				break
-			}
-			if e.Seq != next {
-				t.Fatalf("cursor out of order: got %d, want %d", e.Seq, next)
-			}
-			if e.Tag != int64((e.Seq-1)%5) {
-				t.Fatalf("seq %d tag = %d, want %d", e.Seq, e.Tag, (e.Seq-1)%5)
-			}
-			if want, ok := r.Read(e.Seq); ok && want.Time != e.Time {
-				t.Fatalf("seq %d time = %d, want %d", e.Seq, e.Time, want.Time)
-			}
-			next = e.Seq + 1
-		}
-		if cur.Consumed() != limit {
-			t.Fatalf("consumed %d, want %d", cur.Consumed(), limit)
-		}
-	}
-}
-
-// Skip and RunLen drive the aggregator's lazy-discard path: runs report
-// contiguous same-timestamp spans and skipping stays consistent with Next.
-func TestSPCursorRunsAndSkip(t *testing.T) {
-	r := NewSP(64)
-	for i := 0; i < 10; i++ {
-		r.Push(100, int64(i))
-	}
-	for i := 0; i < 5; i++ {
-		r.Push(200, 0)
-	}
-	cur := r.NewCursor()
-	limit := r.Total()
-	if tm := cur.PeekTime(); tm != 100 {
-		t.Fatalf("PeekTime = %d, want 100", tm)
-	}
-	if n := cur.RunLen(limit); n != 10 {
-		t.Fatalf("RunLen = %d, want 10", n)
-	}
-	cur.Skip(7)
-	if n := cur.RunLen(limit); n != 3 {
-		t.Fatalf("RunLen after skip = %d, want 3", n)
-	}
-	e, ok := cur.Next(limit)
-	if !ok || e.Seq != 8 || e.Time != 100 || e.Tag != 7 {
-		t.Fatalf("Next after skip = %+v, %v", e, ok)
-	}
-	cur.Skip(2)
-	if tm := cur.PeekTime(); tm != 200 {
-		t.Fatalf("PeekTime in second run = %d, want 200", tm)
-	}
-	if n := cur.RunLen(limit); n != 5 {
-		t.Fatalf("second RunLen = %d, want 5", n)
-	}
-	for want := uint64(11); want <= 15; want++ {
-		e, ok := cur.Next(limit)
-		if !ok || e.Seq != want || e.Time != 200 {
-			t.Fatalf("tail Next = %+v, %v (want seq %d)", e, ok, want)
-		}
-	}
-	if _, ok := cur.Next(limit); ok {
-		t.Fatal("Next past limit ok")
 	}
 }
 

@@ -1,10 +1,14 @@
 // Package ring provides the fixed-capacity ring buffers behind heartbeat
 // histories: Buffer, a plain generic ring for externally synchronized use,
-// and SP, a lock-free single-producer multi-reader ring that run-length
-// encodes timestamps — the storage behind the sharded beat hot path.
+// and two single-producer rings that run-length encode timestamps — SP, a
+// lock-free multi-reader ring (per-thread local histories), and SPSC, a
+// single-consumer ring with plain slots (the per-thread global shards the
+// aggregator merges).
 //
 // Buffer is not safe for concurrent use; callers synchronize externally.
 // SP allows one pushing goroutine and any number of concurrent readers.
+// SPSC allows one pushing goroutine and one consumer that the producer
+// never laps.
 package ring
 
 // Buffer is a fixed-capacity ring retaining the last cap values.

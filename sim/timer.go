@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"context"
-	"runtime"
 	"time"
 )
 
@@ -133,28 +132,19 @@ func (c *Clock) awaitTimer(ctx context.Context) bool {
 	}
 }
 
-// settleRounds is how many scheduler yields AutoAdvance grants the
-// goroutines woken by one advance before the next: enough for a woken loop
-// to consume its event and re-arm its next wait in the common case, cheap
-// enough that a simulated second still costs microseconds.
-const settleRounds = 16
-
 // AutoAdvance drives the clock until ctx is cancelled: whenever any
-// goroutine is waiting on the clock, it yields briefly (letting goroutines
-// woken by the previous step run and register their next waits) and then
-// advances to the earliest pending deadline. With every loop in the system
-// blocked on clock waits, this turns the program into an event-driven
-// simulation — virtual time leaps from deadline to deadline at whatever
-// rate the host executes the events in between.
-//
-// The yield is a heuristic, not a quiescence handshake: under host load a
-// woken goroutine may re-arm its next wait only after the clock has moved
-// past further deadlines, so exact event interleavings can vary between
-// runs (the clock can overshoot — a wait lands relative to a later "now").
-// What stays reproducible is everything derived from a seed (the simnet
-// scenario configurations), and simulation assertions should therefore be
-// interleaving-insensitive invariants (conservation, exactly-once), not
-// exact timelines.
+// goroutine is waiting on the clock, it waits for the simulation to go
+// quiet — every goroutine woken by the previous step blocked again (see
+// quiesce.go) — and then advances to the earliest pending deadline. With
+// every loop in the system blocked on clock waits, this turns the program
+// into an event-driven simulation: virtual time leaps from deadline to
+// deadline at whatever rate the host executes the events in between, and
+// no wait is registered against a clock that has already moved past the
+// event that caused it, however many CPUs run the woken goroutines (short
+// of a goroutine computing without a break for longer than maxSettle).
+// The goroutines one step wakes still run concurrently, in no fixed order,
+// so simulation assertions should stay interleaving-insensitive invariants
+// (conservation, exactly-once), not exact timelines.
 //
 // Run it on its own goroutine; it returns when ctx is cancelled. Limit, if
 // positive, stops the driver once the clock passes start+limit — a
@@ -164,13 +154,12 @@ func (c *Clock) AutoAdvance(ctx context.Context, limit time.Duration) {
 	if limit > 0 {
 		end = c.Now().Add(limit)
 	}
+	var q quiescence
 	for ctx.Err() == nil {
 		if !c.awaitTimer(ctx) {
 			return
 		}
-		for i := 0; i < settleRounds; i++ {
-			runtime.Gosched()
-		}
+		q.settle(ctx)
 		if ctx.Err() != nil {
 			return
 		}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -102,6 +104,50 @@ func TestAutoAdvanceDrivesRearmedWaits(t *testing.T) {
 	}
 	if elapsed := c.Elapsed(Epoch); elapsed < 1000*time.Second {
 		t.Fatalf("virtual elapsed %v, want >= 1000s", elapsed)
+	}
+}
+
+// A goroutine woken by the clock that computes before it blocks again
+// must still read the clock its timer left, however many Ps run it: the
+// driver may not leap to the next pending deadline (a sibling loop keeps
+// one every 10ms) until the computation is over.
+func TestAutoAdvanceWaitsForWokenGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	c := NewClock(time.Time{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	go func() {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-c.After(10 * time.Millisecond):
+			}
+		}
+	}()
+	errs := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			woke := <-c.After(100 * time.Millisecond)
+			for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+			}
+			if now := c.Now(); !now.Equal(woke) {
+				errs <- fmt.Errorf("wake %d at %v: clock read %v after the work", i, woke.Sub(Epoch), now.Sub(Epoch))
+				return
+			}
+		}
+		errs <- nil
+	}()
+	go c.AutoAdvance(ctx, 0)
+
+	select {
+	case err := <-errs:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("loop stalled")
 	}
 }
 

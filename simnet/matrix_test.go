@@ -84,8 +84,8 @@ func TestGenerateWithPinsScale(t *testing.T) {
 
 // TestScenarioMatrix is the tentpole suite: hundreds of simulated seconds
 // of lapped rings, producer restarts, file recreations, link blips,
-// partitions, and relay outages, across every topology, in a few real
-// seconds — every scenario checked against the simcheck delivery
+// partitions, and relay outages, across every topology, in well under a
+// real minute — every scenario checked against the simcheck delivery
 // contract, every failure reporting the seed that replays it exactly.
 func TestScenarioMatrix(t *testing.T) {
 	n := matrixSize()
@@ -108,53 +108,42 @@ func TestScenarioMatrix(t *testing.T) {
 	t.Logf("matrix: %d fixed seeds from %d, rotating seed %d", n, matrixBaseSeed, rotating)
 
 	var (
-		mu       sync.Mutex
 		total    Stats
 		count    int
 		topo     [3]int
 		started  = time.Now()
-		failures int32
+		failures int
 	)
-	// Scenarios are fully isolated (own clock, own network, own tempdir):
-	// run a few at a time so the matrix overlaps file I/O and settling.
-	sem := make(chan struct{}, 4)
-	var wg sync.WaitGroup
+	// Scenarios run one at a time: each clock driver's quiescence check
+	// reads every goroutine in the process (see sim.Clock.AutoAdvance), so
+	// scenarios run side by side would make each check pay for all of them.
 	for _, seed := range seeds {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sc := Generate(seed)
-			stats, err := sc.Run(t.TempDir())
-			if err != nil {
-				atomic.AddInt32(&failures, 1)
-				t.Errorf("scenario FAILED — replay with SIMNET_SEED=%d go test -run TestScenarioMatrix ./simnet\n  %s\n  %v", seed, sc, err)
-				return
-			}
-			mu.Lock()
-			count++
-			topo[sc.Topology]++
-			total.SimSeconds += stats.SimSeconds
-			total.Delivered += stats.Delivered
-			total.Missed += stats.Missed
-			total.Restarts += stats.Restarts
-			total.Reconnects += stats.Reconnects
-			total.Lives += stats.Lives
-			if stats.Resumed {
-				total.Resumed = true
-			}
-			total.Drains += stats.Drains
-			total.Reclaims += stats.Reclaims
-			if stats.MaxRemap > total.MaxRemap {
-				total.MaxRemap = stats.MaxRemap
-			}
-			total.Handoffs += stats.Handoffs
-			total.Shed += stats.Shed
-			mu.Unlock()
-		}(seed)
+		sc := Generate(seed)
+		stats, err := sc.Run(t.TempDir())
+		if err != nil {
+			failures++
+			t.Errorf("scenario FAILED — replay with SIMNET_SEED=%d go test -run TestScenarioMatrix ./simnet\n  %s\n  %v", seed, sc, err)
+			continue
+		}
+		count++
+		topo[sc.Topology]++
+		total.SimSeconds += stats.SimSeconds
+		total.Delivered += stats.Delivered
+		total.Missed += stats.Missed
+		total.Restarts += stats.Restarts
+		total.Reconnects += stats.Reconnects
+		total.Lives += stats.Lives
+		if stats.Resumed {
+			total.Resumed = true
+		}
+		total.Drains += stats.Drains
+		total.Reclaims += stats.Reclaims
+		if stats.MaxRemap > total.MaxRemap {
+			total.MaxRemap = stats.MaxRemap
+		}
+		total.Handoffs += stats.Handoffs
+		total.Shed += stats.Shed
 	}
-	wg.Wait()
 	elapsed := time.Since(started)
 	t.Logf("matrix: %d scenarios (direct=%d file=%d relay-tree=%d), %.0f simulated seconds in %v: delivered=%d missed=%d restarts=%d reconnects=%d lives=%d resumed=%v drains=%d reclaims=%d maxremap=%.2f handoffs=%d shed=%d",
 		count, topo[0], topo[1], topo[2], total.SimSeconds, elapsed.Round(time.Millisecond),

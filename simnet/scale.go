@@ -158,10 +158,10 @@ type ScaleStats struct {
 	Delivered uint64
 	Missed    uint64
 
-	Left     int // producers that churned out
-	Rejoined int // producers that churned back in (a new Life)
-	Silenced int // producer-burst memberships applied
-	Handoffs int // app streams re-homed between leaves mid-run
+	Left     int    // producers that churned out
+	Rejoined int    // producers that churned back in (a new Life)
+	Silenced int    // producer-burst memberships applied
+	Handoffs int    // app streams re-homed between leaves mid-run
 	Shed     uint64 // records shed to backpressure across the tree's rings
 
 	P50, P95, P99 time.Duration // record-time → consumer delivery, virtual
@@ -182,6 +182,11 @@ type ScaleStats struct {
 func (sc ScaleScenario) Run() (ScaleStats, error) {
 	sc = sc.withDefaults()
 	stats := ScaleStats{Producers: sc.Producers}
+
+	// Return only once this run's goroutines have wound down: a run that
+	// starts while the last one's relays are still exiting would count
+	// their memory in its heap baseline.
+	defer awaitGoroutines(runtime.NumGoroutine())
 
 	// Heap baseline before anything in the run is allocated: the delta at
 	// the end, with the whole tier still live, is what the run costs.
@@ -559,4 +564,13 @@ func (sc ScaleScenario) Run() (ScaleStats, error) {
 		return stats, err
 	}
 	return stats, nil
+}
+
+// awaitGoroutines waits, up to settleDeadline of real time, until no more
+// than n goroutines are alive.
+func awaitGoroutines(n int) {
+	deadline := time.Now().Add(settleDeadline)                      //hbvet:allow wallclock -- real-time bound on the harness's own teardown
+	for runtime.NumGoroutine() > n && time.Now().Before(deadline) { //hbvet:allow wallclock -- checks the teardown bound set above
+		time.Sleep(time.Millisecond) //hbvet:allow wallclock -- real-time poll cadence: the run's clock has stopped
+	}
 }

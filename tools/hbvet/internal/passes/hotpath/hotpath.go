@@ -1,13 +1,14 @@
 // Package hotpath machine-checks the measured performance contracts: a
-// function marked //hbvet:hotpath (balance.Table.Pick, the ring.SP beat
-// paths, replayRing.frameSince) is checked — transitively through every
-// same-package callee — for heap allocation (make/new, escaping composite
-// literals, append growth, interface conversions, closures, string
-// concatenation), lock and channel operations, goroutine spawns, and
-// calls that leave the verified set: a callee in another package must
-// itself be marked //hbvet:hotpath (the mark travels as a fact, so
-// heartbeat's beat path may call into internal/ring) or belong to a
-// small allowlist of known allocation-free stdlib helpers.
+// function marked //hbvet:hotpath (balance.Table.Pick, the beat paths
+// through ring.SP and ring.SPSC, replayRing.frameSince) is checked —
+// transitively through every same-package callee — for heap allocation
+// (make/new, escaping composite literals, append growth, interface
+// conversions, closures, string concatenation), lock and channel
+// operations, goroutine spawns, and calls that leave the verified set: a
+// callee in another package must itself be marked //hbvet:hotpath (the
+// mark travels as a fact, so heartbeat's beat path may call into
+// internal/ring) or belong to a small allowlist of known allocation-free
+// stdlib helpers.
 //
 // Known, justified costs — the amortized slow-path spill, the pooled
 // buffer growth — are excused line by line with
